@@ -18,11 +18,13 @@ sweep stage) and recorded as a ``sweep/workersN`` trajectory point -- every
 sweep cell is cross-checked against the same seed anchors, so a parallel
 run that explores a different state space fails exactly like a serial one.
 
-The largest cell additionally re-runs on the sharded multi-core engine
-(``--shard-workers 2,4``; ``shard/workersN`` trajectory points).  Sharding
-is observationally exact, so every anchor is compared *strictly* against
-the serial twin of the same run -- any deviation is exit 2, like a seed
-anchor mismatch.
+The largest cell additionally re-runs on the level-synchronous engine
+in-process (``level/inproc``, with its speed-up over the scalar loop) and on
+the sharded multi-core engine (``--shard-workers 2,4``; ``shard/workersN``
+points, with their speed-up over ``level/inproc``), which separates the
+algorithmic gain from the parallel one.  Both engines are observationally
+exact, so every anchor is compared *strictly* against the serial twins of
+the same run -- any deviation is exit 2, like a seed anchor mismatch.
 
 Usage::
 
@@ -52,6 +54,7 @@ if os.path.abspath(_SRC) not in [os.path.abspath(p) for p in sys.path]:
 
 from repro.arch import TimedAutomataSettings, analyze_wcrt  # noqa: E402
 from repro.casestudy import build_radio_navigation, configure  # noqa: E402
+from repro.core.reachability import Explorer  # noqa: E402
 from repro.perf import (  # noqa: E402
     Timer,
     check_regression,
@@ -132,18 +135,21 @@ def verify_cell(
     return problems
 
 
-def run_shard_cell(
+def run_engine_cell(
     model,
     combination: str,
     configuration: str,
     reps: int,
     shard_workers: int,
+    scalar_oracle: bool = False,
 ) -> dict:
-    """Run one cell on the sharded multi-core engine (docs/performance.md).
+    """Run one cell on a chosen exact engine (docs/performance.md).
 
     Same model, seed and search order as :func:`run_cell`; only the engine
-    differs.  Sharding is observationally exact: every anchor the scalar
-    twin records must come out bit-identical, only the wall clock may move.
+    differs: ``shard_workers`` >= 2 forks the sharded engine, 0 runs the
+    rounds in-process, and *scalar_oracle* pins the scalar loop (the
+    engines' reference oracle).  Every engine is observationally exact:
+    every anchor must come out bit-identical, only the wall clock may move.
     """
     configured = configure(model, combination, configuration)
     settings = TimedAutomataSettings(
@@ -151,44 +157,53 @@ def run_shard_cell(
         shard_workers=shard_workers,
     )
     best = None
-    for _ in range(max(1, reps)):
-        with Timer() as timer:
-            result = analyze_wcrt(configured, REQUIREMENT, settings)
-        stats = result.detail.statistics
-        point = {
-            "states_per_second": round(stats.states_per_second, 1),
-            "wcrt_ticks": result.wcrt_ticks,
-            "is_lower_bound": result.is_lower_bound,
-            "states_explored": stats.states_explored,
-            "states_stored": stats.states_stored,
-            "transitions": stats.transitions,
-            "explore_seconds": round(stats.elapsed_seconds, 4),
-            "wall_seconds": round(timer.seconds, 4),
-            "shard_workers": stats.shard_workers,
-            "shard_handoffs": stats.shard_handoffs,
-            "shard_steals": stats.shard_steals,
-        }
-        if best is None or point["states_per_second"] > best["states_per_second"]:
-            best = point
+    Explorer._scalar_oracle = scalar_oracle
+    try:
+        for _ in range(max(1, reps)):
+            with Timer() as timer:
+                result = analyze_wcrt(configured, REQUIREMENT, settings)
+            stats = result.detail.statistics
+            point = {
+                "states_per_second": round(stats.states_per_second, 1),
+                "wcrt_ticks": result.wcrt_ticks,
+                "is_lower_bound": result.is_lower_bound,
+                "states_explored": stats.states_explored,
+                "states_stored": stats.states_stored,
+                "transitions": stats.transitions,
+                "explore_seconds": round(stats.elapsed_seconds, 4),
+                "wall_seconds": round(timer.seconds, 4),
+                "shard_workers": stats.shard_workers,
+                "shard_handoffs": stats.shard_handoffs,
+                "shard_steals": stats.shard_steals,
+            }
+            if best is None or point["states_per_second"] > best["states_per_second"]:
+                best = point
+    finally:
+        Explorer._scalar_oracle = False
     return best
 
 
-#: the anchors a sharded run must reproduce bit-identically (strict
-#: equality -- sharding that changes *anything* the scalar engine computes
+#: the anchors every engine twin must reproduce bit-identically (strict
+#: equality -- an engine that changes *anything* the scalar loop computes
 #: is a soundness bug, exit 2, not noise)
-SHARD_ANCHORS = ("wcrt_ticks", "is_lower_bound", "states_explored",
+TWIN_ANCHORS = ("wcrt_ticks", "is_lower_bound", "states_explored",
                  "states_stored", "transitions")
 
 
-def verify_shard_cell(name: str, sharded: dict, scalar: dict) -> list[str]:
-    """A sharded run must change wall clock only, never what is computed."""
+def verify_engine_twin(name: str, point: dict, *twins: tuple[str, dict]) -> list[str]:
+    """An engine twin must change wall clock only, never what is computed.
+
+    *twins* are ``(name, point)`` pairs of the same cell on other engines;
+    every anchor must match each of them exactly.
+    """
     problems: list[str] = []
-    for anchor in SHARD_ANCHORS:
-        if sharded[anchor] != scalar[anchor]:
-            problems.append(
-                f"{name}: sharded {anchor} {sharded[anchor]!r} != "
-                f"scalar {scalar[anchor]!r} (sharding changed the result)"
-            )
+    for twin_name, twin in twins:
+        for anchor in TWIN_ANCHORS:
+            if point[anchor] != twin[anchor]:
+                problems.append(
+                    f"{name}: {anchor} {point[anchor]!r} != {twin_name} "
+                    f"{twin[anchor]!r} (the engine changed the result)"
+                )
     return problems
 
 
@@ -555,34 +570,56 @@ def main(argv: list[str] | None = None) -> int:
         f"validated (AL+TMC/po/{REQUIREMENT}, response {witness_response} ticks)"
     )
 
-    # sharded-engine twins (docs/performance.md): the largest cell re-run on
-    # the forked multi-core engine, verified in-run against its serial
-    # anchor above -- strict equality on every anchor, exit 2 on deviation.
-    # Like the sweep point, shard points are wall-clock throughput and stay
-    # out of the committed baseline.
+    # engine twins (docs/performance.md): the largest cell re-run on the
+    # level-synchronous engine in-process (``level/inproc``, against the
+    # scalar loop: the algorithmic gain) and on the forked multi-core engine
+    # (``shard/workersN``, against ``level/inproc``: the parallel gain), each
+    # verified in-run against the serial anchors -- strict equality on every
+    # anchor, exit 2 on deviation.  Like the sweep point, these are
+    # wall-clock throughput and stay out of the committed baseline.
     shard_counts = [int(w) for w in str(args.shard_workers).split(",")
                     if w.strip() and int(w) > 0]
+    if not args.quick:
+        twin_combination, twin_configuration = cells[-1]
+        cell_name = f"{twin_combination}/{twin_configuration}"
+        scalar_point = run_engine_cell(
+            model, twin_combination, twin_configuration, reps, 0, scalar_oracle=True
+        )
+        level_point = run_engine_cell(model, twin_combination, twin_configuration, reps, 0)
+        level_point["scalar_states_per_second"] = scalar_point["states_per_second"]
+        level_point["speedup_vs_scalar"] = round(
+            level_point["states_per_second"] / scalar_point["states_per_second"], 2)
+        points["level/inproc"] = level_point
+        problems.extend(verify_engine_twin(
+            "level/inproc", level_point, (cell_name, points[cell_name]),
+            ("scalar", scalar_point),
+        ))
+        print(
+            f"  {'level/inproc':14s} {level_point['states_explored']:7d} states  "
+            f"{level_point['states_per_second']:9.1f} states/s  "
+            f"({level_point['speedup_vs_scalar']:.2f}x vs the scalar loop on {cell_name})"
+        )
     if shard_counts and not args.quick:
         if not hasattr(os, "fork"):
             print("  shard stage skipped: os.fork unavailable")
         else:
-            shard_combination, shard_configuration = cells[-1]
-            scalar_name = f"{shard_combination}/{shard_configuration}"
-            scalar_point = points[scalar_name]
             for workers in shard_counts:
                 name = f"shard/workers{workers}"
-                point = run_shard_cell(
-                    model, shard_combination, shard_configuration, reps, workers
+                point = run_engine_cell(
+                    model, twin_combination, twin_configuration, reps, workers
                 )
-                point["speedup_vs_scalar"] = round(
+                point["speedup_vs_level"] = round(
                     point["states_per_second"]
-                    / scalar_point["states_per_second"], 2)
+                    / level_point["states_per_second"], 2)
                 points[name] = point
-                problems.extend(verify_shard_cell(name, point, scalar_point))
+                problems.extend(verify_engine_twin(
+                    name, point, (cell_name, points[cell_name]),
+                    ("level/inproc", level_point),
+                ))
                 print(
                     f"  {name:14s} {point['states_explored']:7d} states  "
                     f"{point['states_per_second']:9.1f} states/s  "
-                    f"({point['speedup_vs_scalar']:.2f}x vs {scalar_name}, "
+                    f"({point['speedup_vs_level']:.2f}x vs level/inproc, "
                     f"{point['shard_handoffs']} handoffs, "
                     f"{point['shard_steals']} steals)"
                 )
@@ -629,13 +666,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {os.path.relpath(args.output)}")
 
     if args.update_baseline:
-        # the sweep and shard points are machine- and core-count-specific
+        # the sweep, level and shard points are machine- and core-count-specific
         # wall-clock throughput; recording them would turn them into future
         # --check gates
         # witness points carry validation counts, not throughput/anchors
         baseline_points_out = {
             name: point for name, point in points.items()
-            if not name.startswith(("sweep/", "witness/", "shard/"))
+            if not name.startswith(("sweep/", "witness/", "shard/", "level/"))
         }
         for name, point in baseline_points_out.items():
             if name == "aggregate":

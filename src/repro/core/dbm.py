@@ -804,11 +804,11 @@ class _StackScratch:
     __slots__ = ("t4", "w4", "m4", "c3", "w3", "m3", "e3", "v2", "u2", "w2", "b2")
 
     def __init__(self, capacity: int, dim: int):
-        if dim <= _SQUARING_MAX_DIM:
+        if dim <= _SQUARING_MAX_DIM and capacity <= _SQUARING_MAX_COUNT:
             self.t4 = np.empty((capacity, dim, dim, dim), dtype=np.int64)
             self.w4 = np.empty((capacity, dim, dim, dim), dtype=np.int64)
             self.m4 = np.empty((capacity, dim, dim, dim), dtype=bool)
-        else:  # the squaring kernel is not used at these dimensions
+        else:  # the squaring kernel only runs on narrow, low-dim stacks
             self.t4 = self.w4 = self.m4 = None
         self.c3 = np.empty((capacity, dim, dim), dtype=np.int64)
         self.w3 = np.empty((capacity, dim, dim), dtype=np.int64)
@@ -835,7 +835,7 @@ def _stack_scratch(count: int, dim: int) -> _StackScratch:
 class DBMStack:
     """A stack of ``count`` DBMs over the same ``dim`` clocks in one buffer.
 
-    The batched counterpart of :class:`DBM` used by the frontier-block
+    The batched counterpart of :class:`DBM` used by the round-based
     exploration: the member matrices live in a single pooled
     ``(count, dim, dim)`` int64 buffer (``DBMStack.a``) and every kernel is
     one set of whole-stack numpy operations, amortising the per-call

@@ -31,9 +31,11 @@ __all__ = ["Federation"]
 
 _MIN_CAPACITY = 4
 
-#: element budget for a single broadcast comparison intermediate (~4M bools);
-#: larger batched coverage checks are chunked along the candidate axis
-_COMPARE_BUDGET = 1 << 22
+#: element budget for a single broadcast comparison intermediate (256 Ki
+#: bools); larger batched coverage checks are chunked along the candidate
+#: axis.  Each transient counts towards the peak RSS of a round, and chunks
+#: this size are already past the point where numpy dispatch dominates
+_COMPARE_BUDGET = 1 << 18
 
 
 class Federation:
@@ -117,9 +119,9 @@ class Federation:
         zone is dropped before insertion (exactly the members sequential
         adds would have evicted; relative order is preserved on both sides).
 
-        Used by the block replay of the batched frontier engine, which
-        screens candidates with :meth:`covers_many` + per-block bookkeeping
-        and then flushes each target federation once.
+        Used by the round engine (:func:`repro.core.level.flush`), which
+        screens a round's candidates with :meth:`covers_many` plus its
+        within-round screens and then flushes each target federation once.
         """
         if not zones:
             return
@@ -140,9 +142,16 @@ class Federation:
                 )
             self._evict_covered(doomed_members)
         # within the batch: zone i is evicted by any *later* zone that covers
-        # it (earlier zones cannot cover later ones -- the caller screened)
-        includes = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
-        doomed = np.triu(includes, 1).any(axis=1)
+        # it (earlier zones cannot cover later ones -- the caller screened);
+        # chunked along i so the (k, k, dim^2) broadcast stays in budget
+        k = len(rows)
+        doomed = np.zeros(k, dtype=bool)
+        chunk = max(1, _COMPARE_BUDGET // (k * rows.shape[1]))
+        for start in range(0, k - 1, chunk):
+            block = rows[start : start + chunk]
+            includes = (block[:, None, :] <= rows[None, :, :]).all(axis=2)
+            includes &= np.arange(k)[None, :] > np.arange(start, start + len(block))[:, None]
+            doomed[start : start + len(block)] = includes.any(axis=1)
         self._grow(self._n + int(len(zones) - doomed.sum()))
         for zone, dead in zip(zones, doomed):
             if not dead:
@@ -214,7 +223,7 @@ class Federation:
         or already flattened to ``(k, dim * dim)``.  Returns a boolean mask:
         entry ``c`` is ``True`` when some *single* member zone includes
         candidate ``c`` entirely -- the passed-list check of the batched
-        frontier exploration, one vectorised comparison for the whole block.
+        round engine, one vectorised comparison for the whole batch.
 
         The verdict only depends on the *set* of member zones, not on their
         insertion order: redundancy eviction removes a stored zone only when
@@ -223,7 +232,7 @@ class Federation:
         later insertions (``True`` can never revert to ``False``): callers
         caching a mask across mutations may keep trusting positive entries
         and need only re-check negative ones against the zones stored since
-        (see ``Explorer._expand_block``).
+        (the round engine's within-round screens, :mod:`repro.core.level`).
         """
         if not len(stack):
             return np.zeros(0, dtype=bool)

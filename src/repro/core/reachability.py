@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import random
 import time
+import warnings
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
+from repro.core import level
 from repro.core.dbm import INFINITY_RAW, bound_as_tuple
 from repro.core.federation import Federation
 from repro.core.network import CompiledNetwork
@@ -56,6 +59,14 @@ __all__ = [
     "TraceStep",
 ]
 
+#: most waiting states one round of the breadth-first engine expands: it
+#: bounds the round's candidate rows in memory and how far past an expired
+#: deadline one round's batched work can run
+_ROUND_WINDOW = 1024
+#: fewest waiting states worth a round: below it the batching does not pay
+#: for the round's fixed cost, and states expand one at a time
+_MIN_ROUND = 16
+
 
 @dataclass
 class SearchOptions:
@@ -78,27 +89,33 @@ class SearchOptions:
     inclusion_checking: bool = True
     #: keep parent pointers so that witness/counterexample traces can be built
     record_traces: bool = True
-    #: largest run of waiting states sharing a discrete key that the breadth-
-    #: first engine pops as one block and pushes through the batched DBM
-    #: kernels; 1 disables frontier batching (dfs/rdfs always run scalar,
-    #: their pop order is incompatible with popping runs)
-    block_size: int = 128
+    #: deprecated and ignored: the breadth-first engine batches whole round
+    #: windows, not runs of a fixed size (``docs/performance.md``); setting
+    #: it warns, and the field goes away in the next release
+    block_size: int | None = None
     #: which state-space reductions the engine may apply; accepts a
     #: :class:`ReductionConfig`, a spec string (``"all"``, ``"none"``, a
     #: comma list of canonical names), a dict of flags or ``None`` (all on);
     #: normalised to a :class:`ReductionConfig` by ``__post_init__``
     reductions: ReductionConfig | str | dict | None = None
     #: worker processes the sharded breadth-first engine may fork; 0 and 1
-    #: run in-process.  Sharding requires bfs order with inclusion checking
-    #: and ``os.fork`` -- :func:`repro.core.shard.select_explorer` falls back
-    #: to the scalar/block engine otherwise (see ``docs/performance.md``)
+    #: run the same level-synchronous rounds in-process.  Sharding requires
+    #: bfs order with inclusion checking and ``os.fork`` --
+    #: :func:`repro.core.shard.select_explorer` falls back to the in-process
+    #: engine otherwise (see ``docs/performance.md``)
     shard_workers: int = 0
 
     def __post_init__(self):
         if self.order not in ("bfs", "dfs", "rdfs"):
             raise ModelError(f"unknown search order {self.order!r}")
-        if self.block_size < 1:
-            raise ModelError("block_size must be at least 1")
+        if self.block_size is not None:
+            warnings.warn(
+                "SearchOptions.block_size is deprecated and ignored: the "
+                "breadth-first engine batches whole rounds",
+                DeprecationWarning, stacklevel=3,
+            )
+            if self.block_size < 1:
+                raise ModelError("block_size must be at least 1")
         if self.shard_workers < 0:
             raise ModelError("shard_workers must be non-negative")
         self.reductions = ReductionConfig.parse(self.reductions)
@@ -233,6 +250,10 @@ class _SearchNode:
 class Explorer:
     """Forward zone-graph exploration over a compiled network."""
 
+    #: run every search through the scalar loop (the reference oracle the
+    #: tests compare the round engine against)
+    _scalar_oracle = False
+
     def __init__(
         self,
         network: CompiledNetwork,
@@ -280,18 +301,24 @@ class Explorer:
 
         ``visit`` may return ``True`` to stop the search (goal found).  The
         returned statistics record why the exploration terminated.
+
+        Breadth-first search with inclusion checking expands its waiting
+        list in level-synchronous rounds (:meth:`_expand_round`) whenever it
+        holds at least ``_MIN_ROUND`` states; otherwise, and always for
+        dfs/rdfs, the no-inclusion mode and networks whose partial-order
+        reduction has an ample candidate, states expand one at a time
+        (:meth:`_expand_node`).  Both give identical statistics, verdicts
+        and traces.
         """
         options = self.search
         stats = ExplorationStatistics(search_order=options.order)
         stats.start_timer()
-        rng = random.Random(options.seed)
 
         # the passed list is keyed by the *interned* discrete part (location
         # and variable vectors packed into one bytes object): bytes hash and
         # compare in C, unlike the nested int tuples they replace
         passed: dict[bytes, Federation] = {}
         waiting: deque[_SearchNode] = deque()
-        record_traces = options.record_traces
 
         initial = self._canonical(self.generator.initial_state(), stats)
         root = _SearchNode(initial, None, None)
@@ -315,14 +342,11 @@ class Explorer:
             )
         max_states = options.max_states
         breadth_first = options.order == "bfs"
-        randomised = options.order == "rdfs"
-        generate = self.generator.successors
-        # frontier blocking: breadth-first only (popping a run from the head
-        # preserves the FIFO expansion order; dfs/rdfs pop from the tail and
-        # would interleave differently), and only with inclusion checking
-        # (the no-inclusion bookkeeping has no batched counterpart)
-        block_cap = options.block_size if breadth_first and options.inclusion_checking else 1
-
+        rng = random.Random(options.seed) if options.order == "rdfs" else None
+        rounds = (
+            breadth_first and options.inclusion_checking
+            and not self._scalar_oracle and not self._has_ample_candidate()
+        )
         while waiting:
             # budgets are checked *before* popping, so an exhausted budget
             # neither drops a pending node nor overshoots states_explored
@@ -332,95 +356,169 @@ class Explorer:
             if deadline is not None and time.perf_counter() > deadline:
                 stats.termination = "time-budget"
                 break
-            if block_cap > 1 and len(waiting) > 1:
-                # measure the run of consecutive waiting states that share
-                # the head's discrete key (interned bytes compare in C)
-                head_key = waiting[0].state.discrete_bytes()
-                limit = min(len(waiting), block_cap)
-                if max_states is not None:
-                    limit = min(limit, max_states - stats.states_explored)
-                if deadline is not None:
-                    # keep blocks small under a time budget so the batched
-                    # clock work between two deadline checks stays bounded;
-                    # the replay additionally re-checks the deadline before
-                    # every expansion (the scalar before-pop check) and
-                    # pushes unexpanded nodes back, so an expensive plan can
-                    # overshoot by at most one expansion, not a whole block
-                    limit = min(limit, 8)
-                run = 1
-                while run < limit and waiting[run].state.discrete_bytes() == head_key:
-                    run += 1
-                if run > 1 and self._por:
-                    # keys with an ample plan expand one node at a time: the
-                    # probe/proviso decisions must interleave with the
-                    # passed-list updates exactly as in the scalar engine
-                    head_info = self.generator.plan_info(waiting[0].state)
-                    if self.generator.ample_plan(head_info) is not None:
-                        run = 1
-                if run > 1:
-                    block = [waiting.popleft() for _ in range(run)]
-                    outcome = self._expand_block(
-                        block, passed, waiting, stats, visit, record_traces,
-                        deadline,
-                    )
-                    if outcome == "goal":
-                        stats.termination = "goal"
-                        stats.stop_timer()
-                        return stats
-                    if outcome == "deadline":
-                        stats.termination = "time-budget"
-                        break
-                    continue
+            if rounds and len(waiting) >= _MIN_ROUND:
+                termination = self._expand_round(visit, stats, passed, waiting, deadline)
+                if termination is not None:
+                    stats.termination = termination
+                    break
+                continue
             node = waiting.popleft() if breadth_first else waiting.pop()
             stats.states_explored += 1
-
-            if self._por:
-                outcome = self._expand_ample(node, passed, waiting, stats, visit, record_traces)
-                if outcome is not None:
-                    if outcome:
-                        stats.termination = "goal"
-                        stats.stop_timer()
-                        return stats
-                    continue
-
-            successors = generate(node.state, with_labels=record_traces, extrapolate=False)
-            if randomised:
-                rng.shuffle(successors)
-            for label, successor in successors:
-                stats.transitions += 1
-                successor = self._canonical(successor, stats)
-                if options.inclusion_checking:
-                    if not self._store(passed, successor):
-                        stats.inclusions += 1
-                        if self._lu_active:
-                            stats.states_subsumed_lu += 1
-                        successor.zone.discard()
-                        continue
-                else:
-                    self.generator.extrapolate(successor.zone)
-                    key = (successor.discrete_bytes(), successor.zone.key())
-                    federation = passed.setdefault(key, Federation(successor.zone.dim))
-                    if len(federation):
-                        stats.inclusions += 1
-                        if self._lu_active:
-                            stats.states_subsumed_lu += 1
-                        successor.zone.discard()
-                        continue
-                    federation.add(successor.zone)
-                stats.states_stored += 1
-                child = _SearchNode(
-                    successor, node if record_traces else _UNRECORDED, label
-                )
-                if visit is not None and visit(successor, child):
-                    stats.termination = "goal"
-                    stats.stop_timer()
-                    return stats
-                waiting.append(child)
-                if len(waiting) > stats.peak_waiting:
-                    stats.peak_waiting = len(waiting)
-
+            if self._expand_node(node, passed, waiting, stats, visit, rng):
+                stats.termination = "goal"
+                break
         stats.stop_timer()
         return stats
+
+    def _has_ample_candidate(self) -> bool:
+        """True when the partial-order reduction may commute some edge.
+
+        The ample decision and its ignoring proviso interleave with the
+        passed-list updates one state at a time, so such networks expand
+        one state at a time; a static check over the edges decides it.
+        """
+        generator = self.generator
+        if not self._por or generator._visibility is None:
+            return False
+        return any(
+            generator._ample_candidate(edge)
+            for instance in self.network.instances
+            for edges in instance.outgoing
+            for edge in edges
+        )
+
+    def _expand_round(self, visit, stats, passed, waiting, deadline) -> str | None:
+        """One level-synchronous round over the head of the waiting list.
+
+        Pops a window of at most ``_ROUND_WINDOW`` states (and no more than
+        the state budget allows), expands and decides it with
+        :mod:`repro.core.level`, then walks the stored candidates in tag
+        order -- the scalar order -- to build their search nodes, call
+        *visit* and update the statistics, so a goal, a deferred plan error
+        or an expired deadline cuts the round exactly where a scalar run
+        stopped at the same expansion would.  Returns ``"goal"``,
+        ``"time-budget"`` or ``None``.
+        """
+        record_traces = self.search.record_traces
+        max_states = self.search.max_states
+        generator = self.generator
+        dim = self.network.dim
+        width = min(len(waiting), _ROUND_WINDOW)
+        if max_states is not None:
+            width = min(width, max_states - stats.states_explored)
+        window = [waiting.popleft() for _ in range(width)]
+        by_key: dict[bytes, list[int]] = {}
+        for position, node in enumerate(window):
+            by_key.setdefault(node.state.discrete_bytes(), []).append(position)
+        groups, error = level.expand(generator, self.symmetry, (
+            (np.array(positions, dtype=np.int64), [window[p].state for p in positions])
+            for positions in by_key.values()
+        ))
+        decided = level.decide(generator, passed, groups, dim)
+
+        parents = decided.tags.tolist()
+        limit = len(parents)
+        if error is not None:
+            limit = bisect_left(parents, error[0])
+        expanded = width
+        goal = False
+        pending: dict[bytes, list] = {}
+        checked = 0
+        for index in np.flatnonzero(decided.stored[:limit]).tolist():
+            parent = parents[index]
+            if deadline is not None and parent > checked:
+                # the scalar loop checks the deadline before every pop
+                checked = parent
+                if time.perf_counter() > deadline:
+                    expanded = parent
+                    limit = bisect_left(parents, parent)
+                    break
+            state = decided.state(index)
+            pending.setdefault(state.dkey, []).append(state.zone)
+            if record_traces:
+                group = decided.group(index)
+                child = _SearchNode(
+                    state, window[parent],
+                    generator._plan_label(group.info, group.plan_index),
+                )
+            else:
+                child = _SearchNode(state, _UNRECORDED, None)
+            if visit is not None and visit(state, child):
+                goal = True
+                expanded = parent + 1
+                limit = index + 1
+                break
+            waiting.append(child)
+            # the scalar loop would still hold the window's unexpanded tail
+            # in its waiting list at this point
+            length = len(waiting) + width - parent - 1
+            if length > stats.peak_waiting:
+                stats.peak_waiting = length
+        if error is not None and not goal and expanded == width:
+            raise error[1].with_traceback(None)
+
+        stored = int(decided.stored[:limit].sum())
+        stats.states_explored += expanded
+        stats.transitions += limit
+        stats.states_stored += stored
+        stats.inclusions += limit - stored
+        if self._lu_active:
+            stats.states_subsumed_lu += limit - stored
+        stats.keys_folded += int(decided.folded[:limit].sum())
+        if goal:
+            return "goal"
+        level.flush(passed, pending, dim)
+        if expanded < width:
+            waiting.extendleft(reversed(window[expanded:]))
+            return "time-budget"
+        return None
+
+    def _expand_node(self, node, passed, waiting, stats, visit, rng=None) -> bool:
+        """Expand one popped node the scalar way; True when *visit* found a goal.
+
+        The reference semantics every other configuration reproduces: the
+        successors are generated in plan order (shuffled for rdfs) and each
+        is checked against, and stored into, the passed list at its turn.
+        """
+        record_traces = self.search.record_traces
+        if self._por:
+            outcome = self._expand_ample(node, passed, waiting, stats, visit, record_traces)
+            if outcome is not None:
+                return outcome
+        successors = self.generator.successors(
+            node.state, with_labels=record_traces, extrapolate=False
+        )
+        if rng is not None:
+            rng.shuffle(successors)
+        for label, successor in successors:
+            stats.transitions += 1
+            successor = self._canonical(successor, stats)
+            if self.search.inclusion_checking:
+                if not self._store(passed, successor):
+                    stats.inclusions += 1
+                    if self._lu_active:
+                        stats.states_subsumed_lu += 1
+                    successor.zone.discard()
+                    continue
+            else:
+                self.generator.extrapolate(successor.zone)
+                key = (successor.discrete_bytes(), successor.zone.key())
+                federation = passed.setdefault(key, Federation(successor.zone.dim))
+                if len(federation):
+                    stats.inclusions += 1
+                    if self._lu_active:
+                        stats.states_subsumed_lu += 1
+                    successor.zone.discard()
+                    continue
+                federation.add(successor.zone)
+            stats.states_stored += 1
+            child = _SearchNode(successor, node if record_traces else _UNRECORDED, label)
+            if visit is not None and visit(successor, child):
+                return True
+            waiting.append(child)
+            if len(waiting) > stats.peak_waiting:
+                stats.peak_waiting = len(waiting)
+        return False
 
     def _canonical(self, state: SymbolicState, stats: ExplorationStatistics) -> SymbolicState:
         """Fold *state* onto its symmetry-orbit representative (in place).
@@ -519,205 +617,6 @@ class Explorer:
             variables |= f_variables
             clock_ids |= f_clocks
         self.generator.set_visibility(instances, variables, clock_ids)
-
-    def _expand_block(
-        self,
-        nodes: list[_SearchNode],
-        passed: dict,
-        waiting: deque,
-        stats: ExplorationStatistics,
-        visit: Callable[[SymbolicState, "_SearchNode"], bool] | None,
-        record_traces: bool,
-        deadline: float | None = None,
-    ) -> str | None:
-        """Expand a run of waiting nodes sharing one discrete key as a block.
-
-        The clock work runs batched (:meth:`SuccessorGenerator.
-        block_successors` plus one :meth:`Federation.covers_many` coverage
-        pass and one batched extrapolation per fired plan), while the
-        passed-list updates, statistics and ``visit`` calls replay in the
-        exact scalar order (node-major, plans in firing order) -- so the
-        stored states, counters and traces are identical to expanding the
-        nodes one by one.  Returns ``"goal"`` when *visit* found a goal,
-        ``"deadline"`` when the replay stopped on *deadline* (unexpanded
-        nodes are already back at the head of *waiting*), ``None``
-        otherwise.
-
-        The pre-computed coverage verdicts stay exact under the replay:
-        coverage is monotone (``covers_many``), so a candidate covered
-        before the block is still covered at its turn, and a ``False``
-        verdict can only be flipped by a zone *stored during this block* --
-        eviction never shrinks coverage (the evictor includes the evicted
-        zone).  The replay therefore tracks the zones it stores per target
-        key and re-checks pending candidates against just those, instead of
-        re-running the full federation pass.  That re-check may equivalently
-        run on the extrapolated candidate because ``Z ⊆ W  ⟺  Extra(Z) ⊆ W``
-        for stored zones ``W`` (see :meth:`_store`).
-        """
-        states = [node.state for node in nodes]
-        info, fires = self.generator.block_successors(states)
-        count = len(nodes)
-        spec = self.symmetry
-
-        # per-fire preparation: symmetry folding of the shared target key,
-        # pre-block coverage pass, batched extrapolation of the surviving
-        # layers, layer lookup tables
-        prepared = []
-        errors = []
-        for fire in fires:
-            if fire.error is not None:
-                has_node = np.zeros(count, dtype=bool)
-                has_node[fire.node_indices] = True
-                errors.append((fire, has_node))
-                continue
-            plan = fire.plan
-            locations, variables = plan.locations, plan.variables
-            key_bytes = plan.key_bytes
-            folded = False
-            if spec is not None:
-                locations, variables, perm = spec.canonicalize(
-                    plan.locations, plan.variables, plan.key_bytes
-                )
-                if perm is not None:
-                    # every layer shares the plan's target discrete state,
-                    # so one whole-stack clock permutation folds them all;
-                    # it must precede coverage and extrapolation (both are
-                    # clock-labelled)
-                    fire.stack.permute(perm)
-                    key_bytes = pack_discrete(locations, variables)
-                    folded = True
-            layer_of = np.full(count, -1, dtype=np.intp)
-            layer_of[fire.node_indices] = np.arange(len(fire.node_indices))
-            federation = passed.get(key_bytes)
-            if federation is not None:
-                covered = federation.covers_many(fire.stack.a)
-            else:
-                covered = np.zeros(len(fire.node_indices), dtype=bool)
-            kept = np.flatnonzero(~covered)
-            if len(kept) < len(fire.node_indices):
-                stack = fire.stack.compress(kept) if len(kept) else None
-                fire.stack.discard()
-            else:
-                stack = fire.stack
-            if stack is not None:
-                self.generator.extrapolate_stack(stack)
-                flat = stack.a.reshape(len(kept), -1)
-            else:
-                flat = None
-            kept_layer = np.full(len(fire.node_indices), -1, dtype=np.intp)
-            kept_layer[kept] = np.arange(len(kept))
-            label = self.generator._plan_label(info, fire.plan_index) if record_traces else None
-            prepared.append((
-                layer_of, covered, kept_layer, stack, flat, label,
-                locations, variables, key_bytes, folded,
-            ))
-
-        try:
-            return self._replay_block(
-                nodes, prepared, errors, passed, waiting, stats, visit,
-                record_traces, deadline,
-            )
-        finally:
-            # also reached when a deferred plan error propagates mid-replay:
-            # the pooled block buffers must go back either way
-            for entry in prepared:
-                stack = entry[3]
-                if stack is not None:
-                    stack.discard()
-
-    def _replay_block(
-        self, nodes, prepared, errors, passed, waiting, stats, visit,
-        record_traces, deadline=None,
-    ) -> str | None:
-        """The scalar-order replay of :meth:`_expand_block` (see there).
-
-        ``pending`` collects the zones stored per target key while the block
-        replays -- they are the only zones that can invalidate a negative
-        pre-block coverage verdict, so later candidates re-check against
-        just them, and each federation is flushed once at block end
-        (``add_many_uncovered``), not once per stored zone.
-
-        *deadline* replays the scalar engine's before-pop time-budget check
-        before every expansion after the first (the outer loop already
-        checked before the block was popped): on expiry the unexpanded tail
-        goes back to the head of the waiting list in order and the zones
-        stored so far are flushed, leaving exactly the state a scalar run
-        stopped at the same expansion count would leave.
-        """
-        count = len(nodes)
-        pending: dict[bytes, list] = {}
-        goal = False
-        expired = False
-        for position, node in enumerate(nodes):
-            if goal:
-                break
-            if (
-                deadline is not None and position
-                and time.perf_counter() > deadline
-            ):
-                waiting.extendleft(reversed(nodes[position:]))
-                expired = True
-                break
-            stats.states_explored += 1
-            for fire, has_node in errors:
-                if has_node[position]:
-                    # scalar generation raises before yielding any successor
-                    # of this state; earlier nodes of the block are done
-                    raise fire.error.with_traceback(None)
-            for (layer_of, covered, kept_layer, stack, flat, label,
-                 locations, variables, key_bytes, folded) in prepared:
-                layer = layer_of[position]
-                if layer < 0:
-                    continue
-                stats.transitions += 1
-                if folded:
-                    stats.keys_folded += 1
-                if covered[layer]:
-                    stats.inclusions += 1
-                    if self._lu_active:
-                        stats.states_subsumed_lu += 1
-                    continue
-                row = flat[kept_layer[layer]]
-                stored_here = pending.get(key_bytes)
-                if stored_here is not None and any(
-                    (row <= zone.m).all() for zone in stored_here
-                ):
-                    stats.inclusions += 1
-                    if self._lu_active:
-                        stats.states_subsumed_lu += 1
-                    continue
-                zone = stack.layer_dbm(kept_layer[layer])
-                if stored_here is None:
-                    pending[key_bytes] = [zone]
-                else:
-                    stored_here.append(zone)
-                stats.states_stored += 1
-                successor = SymbolicState(locations, variables, zone, key_bytes)
-                child = _SearchNode(successor, node if record_traces else _UNRECORDED, label)
-                if visit is not None and visit(successor, child):
-                    goal = True
-                    break
-                waiting.append(child)
-                # the scalar engine would still hold this block's unprocessed
-                # tail in the waiting list at this point; account for it so
-                # the peak matches the scalar run exactly
-                virtual_length = len(waiting) + (count - position - 1)
-                if virtual_length > stats.peak_waiting:
-                    stats.peak_waiting = virtual_length
-
-        # flush the block's stores, one batched federation update per key (on
-        # a goal return the flush is skipped: the passed list dies with the
-        # search, and the statistics were already updated during the replay)
-        if not goal:
-            for key, zones in pending.items():
-                federation = passed.get(key)
-                if federation is None:
-                    federation = Federation(zones[0].dim)
-                    passed[key] = federation
-                federation.add_many_uncovered(zones)
-        if goal:
-            return "goal"
-        return "deadline" if expired else None
 
     def _store(self, passed: dict, state: SymbolicState) -> bool:
         """Insert into the passed list; False when an existing zone covers it.

@@ -1,38 +1,27 @@
-"""Sharded exact exploration: the zone graph split across worker processes.
+"""Sharded exact exploration: the level-synchronous rounds split by key.
 
-:class:`ShardedExplorer` partitions the passed and waiting stores of the
-breadth-first engine by a stable hash of the interned discrete key across
-``SearchOptions.shard_workers`` forked worker processes.  Every discrete key
-is *owned* by exactly one shard (``crc32(key) % workers``); the owner holds
-the key's :class:`~repro.core.federation.Federation` and makes every
-store/coverage decision for it, so the per-key decision sequence is a local
-replay of the scalar engine.  Successor candidates whose target key lives on
-another shard are handed off through per-worker
-:class:`~repro.core.zonepool.SharedZonePool` outboxes (the pipes carry only
-``(offset, count)`` descriptors, the raw zone rows travel through shared
-memory).
+:class:`ShardedExplorer` runs the same rounds as the in-process breadth-
+first engine (:mod:`repro.core.level`), with the target discrete keys
+partitioned across ``SearchOptions.shard_workers`` forked worker processes.
+Every discrete key is *owned* by exactly one shard (``crc32(key) %
+workers``); the owner holds the key's
+:class:`~repro.core.federation.Federation` and decides every candidate
+targeting it.  Successor candidates whose target key lives on another shard
+are handed off through per-worker :class:`~repro.core.zonepool.SharedZonePool`
+outboxes (the pipes carry only ``(offset, count)`` descriptors, the raw zone
+rows travel through shared memory).
 
 Round protocol
 --------------
-The exploration proceeds in *rounds* that are exactly the BFS levels of the
-scalar engine:
-
 1. **ship** (optional): when the coordinator's deterministic count-based
    work-stealing pass finds a skewed frontier, the richest shard ships half
    of its surplus (the highest-sequence states) to the poorest shard.
-2. **expand**: every worker pops its owned (plus stolen) frontier states
-   below the round horizon, pushes them through the batched successor
-   kernels (:meth:`SuccessorGenerator.block_successors`), folds each target
-   key onto its symmetry representative *before* hashing, and routes each
-   candidate -- tagged ``(parent_seq, plan_index)`` -- to the owner of its
-   target key.
-3. **decide**: every worker sorts the candidates it owns by tag and replays
-   the scalar store discipline per key: one batched
-   :meth:`Federation.covers_many` pass against the pre-round federation,
-   batched extrapolation of the survivors, then a tag-ordered walk with the
-   same pending re-check the block engine uses
-   (:meth:`Explorer._replay_block`), flushed once per key through
-   :meth:`Federation.add_many_uncovered`.
+2. **expand**: every worker runs :func:`repro.core.level.expand` over its
+   owned (plus stolen) frontier states below the round horizon -- tagging
+   each candidate ``(parent_seq, plan_index)`` -- and routes each candidate
+   group to the owner of its (symmetry-folded) target key.
+3. **decide**: every worker runs :func:`repro.core.level.decide` over the
+   groups it owns and walks the stored candidates in tag order.
 4. **merge**: the coordinator lexsorts the reported tags, assigns global
    scalar sequence numbers (``seq`` = scalar BFS pop order), accumulates the
    per-candidate decision records into the statistics, and resolves goals,
@@ -40,17 +29,13 @@ scalar engine:
 
 Determinism
 -----------
-The scalar candidate order *is* the lexicographic tag order: scalar BFS pops
-states in seq order and generates each state's successors in plan-index
-order.  Candidate generation never reads the passed list, and a candidate's
-store/coverage decision depends only on the zones previously stored under
-its own key -- all of which live on the owner shard (earlier rounds) or in
-the owner's tag-ordered pending list (this round).  The owner deciding its
-candidates in tag order therefore replays the scalar decisions exactly;
-verdicts, traces, witnesses and every comparable
-:class:`ExplorationStatistics` counter are bit-identical to the scalar
-engine (``tests/core/test_shard.py`` pins this, the scaling benchmark
-enforces it on the case study with a hard non-zero exit).
+A key's verdicts depend only on the zones earlier-tagged candidates stored
+under that key, all of which the owner decides; the tag-order argument of
+:mod:`repro.core.level` therefore holds per shard, and verdicts, traces,
+witnesses and every comparable :class:`ExplorationStatistics` counter are
+bit-identical to the scalar engine (``tests/core/test_shard.py`` and
+``tests/core/test_level_engine.py`` pin this, the scaling benchmark enforces
+it on the case study with a hard non-zero exit).
 
 Witness traces are reconstructed by *replay*: the coordinator keeps only the
 ``(parent_seq, plan_index)`` tag of every stored state, walks the tag chain
@@ -71,10 +56,11 @@ unchanged.  A second crash raises :class:`AnalysisError`.  Worker-side
 crashes: they travel back as data and re-raise in the parent exactly where
 the scalar engine would have raised them.
 
-The ample-set (partial-order) reduction stays off under sharding: its
-ignoring proviso reads the passed list mid-expansion, which under the level-
-synchronous protocol would observe a stale shard-local prefix.  Symmetry
-folding and LU extrapolation compose fully (``docs/performance.md``).
+A network on which the ample-set (partial-order) reduction has a static
+candidate is not sharded: its ignoring proviso reads the passed list
+mid-expansion, so it runs the in-process scalar loop like every other
+engine configuration.  Symmetry folding and LU extrapolation compose fully
+(``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -89,7 +75,8 @@ from array import array
 
 import numpy as np
 
-from repro.core.dbm import DBM, DBMStack
+from repro.core import level
+from repro.core.dbm import DBM
 from repro.core.federation import Federation
 from repro.core.network import CompiledNetwork
 from repro.core.properties import BoundFormula
@@ -100,7 +87,7 @@ from repro.core.reachability import (
     _SearchNode,
 )
 from repro.core.statistics import ExplorationStatistics
-from repro.core.successors import SemanticsOptions, SymbolicState, pack_discrete
+from repro.core.successors import SemanticsOptions, SymbolicState
 from repro.core.zonepool import SharedZonePool
 from repro.util.errors import AnalysisError
 
@@ -188,75 +175,6 @@ class _EvalSpec:
         self.predicate = predicate
         self.clock_id = clock_id
         self.condition = condition
-
-
-#: cached strictly-upper-triangular masks for `_covered_by_earlier` (the
-#: screens run once per key per round, mostly on small candidate counts)
-_TRIU_CACHE: dict = {}
-
-
-def _covered_by_earlier(flat: np.ndarray) -> np.ndarray:
-    """Row mask: row ``j`` is elementwise ``<=`` some EARLIER row ``i < j``.
-
-    The pairwise comparison is chunked along the candidate axis so the
-    broadcast scratch stays bounded no matter how wide a frontier level is.
-    """
-    k = len(flat)
-    if k <= 1:
-        return np.zeros(k, dtype=bool)
-    step = max(1, (32 << 20) // max(1, k * flat.shape[1]))
-    if k <= step:
-        earlier = _TRIU_CACHE.get(k)
-        if earlier is None:
-            earlier = _TRIU_CACHE[k] = np.triu(np.ones((k, k), dtype=bool), 1)
-        block = (flat[:, None, :] >= flat[None, :, :]).all(axis=2)
-        block &= earlier
-        return block.any(axis=0)
-    out = np.zeros(k, dtype=bool)
-    for start in range(1, k, step):  # row 0 has no earlier row
-        stop = min(k, start + step)
-        block = (flat[:stop, None, :] >= flat[None, start:stop, :]).all(axis=2)
-        earlier = np.arange(stop)[:, None] < np.arange(start, stop)[None, :]
-        out[start:stop] = (block & earlier).any(axis=0)
-    return out
-
-
-def _covered_by_earlier_masked(flat: np.ndarray, changed: np.ndarray) -> np.ndarray:
-    """:func:`_covered_by_earlier` restricted to pairs with a changed row.
-
-    The caller certifies that a pair of UNCHANGED rows cannot cover each
-    other (the raw screen eliminated those before extrapolation), so only
-    columns and rows flagged in *changed* need comparing.
-    """
-    k = len(flat)
-    cols = np.flatnonzero(changed)
-    if len(cols) * k * flat.shape[1] > (32 << 20):
-        # wide level with mostly-changed rows: the slim pair set would not
-        # be slim, and the chunked full screen gives the same verdicts
-        return _covered_by_earlier(flat)
-    out = np.zeros(k, dtype=bool)
-    rows_idx = np.arange(k)
-    # changed row j against every earlier row i
-    block = (flat[:, None, :] >= flat[None, cols, :]).all(axis=2)
-    block &= rows_idx[:, None] < cols[None, :]
-    out[cols] = block.any(axis=0)
-    # any row j against every earlier CHANGED row i
-    block = (flat[cols, None, :] >= flat[None, :, :]).all(axis=2)
-    block &= cols[:, None] < rows_idx[None, :]
-    out |= block.any(axis=0)
-    return out
-
-
-class _KeyContext:
-    """Per-target-key store state of one decide phase."""
-
-    __slots__ = ("key", "pending", "locations", "variables")
-
-    def __init__(self, key, locations, variables):
-        self.key = key
-        self.pending = []
-        self.locations = locations
-        self.variables = variables
 
 
 class _ShardWorker:
@@ -349,217 +267,67 @@ class _ShardWorker:
         for seq in todo:
             key, state = self.frontier.pop(seq)
             by_key.setdefault(key, []).append((seq, state))
+        groups, error = level.expand(self.generator, self.symmetry, (
+            (np.array([seq for seq, _ in batch], dtype=np.int64),
+             [state for _, state in batch])
+            for batch in by_key.values()
+        ))
 
         outgoing: dict[int, list] = {}
-        error = None  # (parent_seq, exception)
         handoffs = 0
         offset = 0
-        for group in by_key.values():
-            seqs = np.array([seq for seq, _ in group], dtype=np.int64)
-            states = [state for _, state in group]
-            _info, fires = self.generator.block_successors(states)
-            for fire in fires:
-                if fire.error is not None:
-                    error_seq = int(seqs[fire.node_indices].min())
-                    if error is None or error_seq < error[0]:
-                        error = (error_seq, fire.error)
-                    continue
-                plan = fire.plan
-                locations = plan.locations
-                variables = plan.variables
-                key_bytes = plan.key_bytes
-                folded = False
-                if self.symmetry is not None:
-                    locations, variables, perm = self.symmetry.canonicalize(
-                        plan.locations, plan.variables, plan.key_bytes
-                    )
-                    if perm is not None:
-                        # fold before hashing: the whole stack shares the
-                        # plan's target key, one permutation folds every layer
-                        fire.stack.permute(perm)
-                        key_bytes = pack_discrete(locations, variables)
-                        folded = True
-                parent_seqs = seqs[fire.node_indices]
-                rows = fire.stack.a.reshape(len(parent_seqs), -1)
-                dest = _owner_of(key_bytes, self.workers)
-                if dest == self.rank:
-                    self.local_groups.append(
-                        (key_bytes, fire.plan_index, folded, parent_seqs,
-                         rows.copy())
-                    )
-                else:
-                    handoffs += len(parent_seqs)
-                    if self.pool.write(self.rank, offset, rows):
-                        ref = ("shm", offset, len(parent_seqs))
-                        offset += len(parent_seqs)
-                    else:
-                        ref = ("inline", rows.copy())
-                    outgoing.setdefault(dest, []).append(
-                        (key_bytes, fire.plan_index, folded, parent_seqs, ref)
-                    )
-                fire.stack.discard()
+        for group in groups:
+            dest = _owner_of(group.key, self.workers)
+            if dest == self.rank:
+                self.local_groups.append(group)
+                continue
+            count = len(group.tags)
+            handoffs += count
+            if self.pool.write(self.rank, offset, group.rows):
+                ref = ("shm", offset, count)
+                offset += count
+            else:
+                ref = ("inline", group.rows)
+            outgoing.setdefault(dest, []).append(
+                (group.key, group.plan_index, group.folded, group.tags, ref)
+            )
         _send(self.write_fd, ("expanded", outgoing, error, handoffs))
 
     # -------------------------------------------------------------- decide
     def _decide(self, incoming) -> None:
-        groups = []
-        for src, key, plan_index, folded, parent_seqs, ref in incoming:
-            if ref[0] == "shm":
-                rows = self.pool.read(src, ref[1], ref[2])
-            else:
-                rows = ref[1]
-            groups.append((key, plan_index, folded, parent_seqs, rows))
-        groups.extend(self.local_groups)
+        groups = self.local_groups
         self.local_groups = []
-
-        candidates = []  # (parent_seq, plan_index, group, row)
-        for g, (_key, plan_index, _folded, parent_seqs, _rows) in enumerate(groups):
-            for i, parent_seq in enumerate(parent_seqs):
-                candidates.append((int(parent_seq), int(plan_index), g, i))
-        candidates.sort(key=lambda c: (c[0], c[1]))
-
-        total = len(candidates)
-        if total:
-            arr = np.array(candidates, dtype=np.int64)
-        else:
-            arr = np.empty((0, 4), dtype=np.int64)
-        parents = np.ascontiguousarray(arr[:, 0])
-        plans = np.ascontiguousarray(arr[:, 1])
-        group_folded = np.fromiter(
-            (bool(group[2]) for group in groups), dtype=bool, count=len(groups)
-        )
-        folded_mask = (
-            group_folded[arr[:, 2]] if total else np.zeros(0, dtype=bool)
-        )
-        stored = np.zeros(total, dtype=bool)
-
-        # per-key preparation mirroring Explorer._expand_block: coverage on
-        # the raw rows against the pre-round federation, then a two-stage
-        # within-level screen (the block engine's sequential pending
-        # discipline, vectorised):
-        #
-        # 1. raw-vs-raw -- a candidate included in an EARLIER raw candidate
-        #    is doomed before paying for extrapolation (extrapolation and
-        #    re-closure are entrywise monotone, so raw inclusion survives
-        #    into the stored comparison);
-        # 2. extrapolated-vs-extrapolated among the survivors
-        #    (Z <= W  <=>  Extra(Z) <= W for stored W).
-        #
-        # Both stages kill exactly the candidates the scalar engine's
-        # store-then-recheck would: by transitivity of inclusion, a
-        # candidate covered by a killed earlier zone is also covered by
-        # whatever stored zone killed that one.
-        key_refs: dict[bytes, list] = {}
-        for index, (parent_seq, plan_index, g, i) in enumerate(candidates):
-            key_refs.setdefault(groups[g][0], []).append((g, i, index))
-        prepared = []  # (key, refs, decision, survivors, sub, offset)
-        total_layers = 0
-        for key, refs in key_refs.items():
-            g = refs[0][0]
-            if len(refs) == len(groups[g][4]) and all(
-                ref[0] == g and ref[1] == pos for pos, ref in enumerate(refs)
-            ):
-                raw = groups[g][4]  # whole single group, already in order
-            else:
-                raw = np.stack([groups[g][4][i] for g, i, _index in refs])
-            federation = self.passed.get(key)
-            if federation is not None:
-                covered = federation.covers_many(raw)
-            else:
-                covered = np.zeros(len(refs), dtype=bool)
-            kept = np.flatnonzero(~covered)
-            decision = ~covered
-            survivors = sub = None
-            offset = total_layers
-            if len(kept):
-                sub = raw[kept] if len(kept) < len(refs) else raw
-                doomed_raw = _covered_by_earlier(sub)
-                if doomed_raw.any():
-                    sub = sub[~doomed_raw]
-                survivors = kept[~doomed_raw]
-                total_layers += len(survivors)
-            prepared.append((key, refs, decision, survivors, sub, offset))
-
-        # one shared stack for the whole round: the extrapolation grids are
-        # global, each layer's kernels are independent, and one big batch
-        # amortises the per-stack dispatch cost across every key
-        stack = None
-        flat_all = None
-        if total_layers:
-            stack = DBMStack(total_layers, self.dim)
-            flat_all = stack.a.reshape(total_layers, -1)
-            for _key, _refs, _decision, survivors, sub, offset in prepared:
-                if survivors is not None and len(survivors):
-                    flat_all[offset:offset + len(survivors)] = sub
-            self.generator.extrapolate_stack(stack)
-
-        contexts: list[_KeyContext] = []
-        zone_context: list = [None] * total
-        zone_layer = np.zeros(total, dtype=np.intp)
-        for key, refs, decision, survivors, sub, offset in prepared:
-            layer_of = None
-            if survivors is not None and len(survivors):
-                count = len(survivors)
-                flat = flat_all[offset:offset + count]
-                # the raw screen already settled every pair of rows the
-                # extrapolation left untouched, so the second screen only
-                # needs pairs with at least one widened row
-                changed = (flat != sub).any(axis=1)
-                decision[:] = False
-                if changed.any():
-                    doomed_extra = _covered_by_earlier_masked(flat, changed)
-                    decision[survivors[~doomed_extra]] = True
-                else:
-                    decision[survivors] = True
-                layer_of = np.full(len(refs), -1, dtype=np.intp)
-                layer_of[survivors] = offset + np.arange(count)
+        for src, key, plan_index, folded, tags, ref in incoming:
+            rows = self.pool.read(src, ref[1], ref[2]) if ref[0] == "shm" else ref[1]
             locations, variables = _unpack_key(key, self.n_instances)
-            context = _KeyContext(key, locations, variables)
-            contexts.append(context)
-            positions = np.flatnonzero(decision)
-            if len(positions):
-                cand = np.fromiter(
-                    (refs[p][2] for p in positions.tolist()),
-                    dtype=np.intp, count=len(positions),
-                )
-                stored[cand] = True
-                zone_layer[cand] = layer_of[positions]
-                for index in cand.tolist():
-                    zone_context[index] = context
+            groups.append(level.CandidateGroup(
+                key, locations, variables, plan_index, folded, tags, rows
+            ))
+        decided = level.decide(self.generator, self.passed, groups, self.dim)
 
-        # tag-ordered walk over the stored candidates only: assemble the
-        # frontier states and evaluate the query spec in scalar visit order
+        # tag-ordered walk over the stored candidates: assemble the frontier
+        # states and evaluate the query spec in scalar visit order
         spec = self.spec
         goal_tag = None
-        for index in np.flatnonzero(stored).tolist():
-            context = zone_context[index]
-            zone = stack.layer_dbm(int(zone_layer[index]))
-            context.pending.append(zone)
-            tag = (int(parents[index]), int(plans[index]))
-            state = SymbolicState(
-                context.locations, context.variables, zone, context.key
-            )
-            self.unassigned.append((tag, context.key, state))
+        pending: dict[bytes, list] = {}
+        parents, plans = decided.tags.tolist(), decided.plans.tolist()
+        for index in np.flatnonzero(decided.stored).tolist():
+            state = decided.state(index)
+            pending.setdefault(state.dkey, []).append(state.zone)
+            tag = (parents[index], plans[index])
+            self.unassigned.append((tag, state.dkey, state))
             if spec.kind == "goal":
                 if goal_tag is None and spec.predicate(state):
                     goal_tag = tag
             elif spec.kind == "sup":
                 if spec.condition is None or spec.condition.possibly(state):
-                    raw_bound = zone.upper_bound(spec.clock_id)
+                    raw_bound = state.zone.upper_bound(spec.clock_id)
                     if self.sup_best is None or raw_bound > self.sup_best[0]:
                         self.sup_best = (raw_bound, tag)
-
-        for context in contexts:
-            if context.pending:
-                federation = self.passed.get(context.key)
-                if federation is None:
-                    federation = Federation(self.dim)
-                    self.passed[context.key] = federation
-                federation.add_many_uncovered(context.pending)
-        if stack is not None:
-            stack.discard()
-        _send(self.write_fd, ("decided", parents, plans, stored, folded_mask,
-                              goal_tag, self.sup_best))
+        level.flush(self.passed, pending, self.dim)
+        _send(self.write_fd, ("decided", decided.tags, decided.plans,
+                              decided.stored, decided.folded, goal_tag,
+                              self.sup_best))
 
     # -------------------------------------------------------------- stealing
     def _ship(self, seqs, assigned) -> None:
@@ -595,11 +363,11 @@ class ShardedExplorer(Explorer):
     the scalar engine's: the overridden :meth:`explore` runs the distributed
     search and then calls the entry point's visit callback once, on the
     replayed goal (or supremum) state, so verdicts, traces and results flow
-    through the unmodified scalar post-processing.  Callers that pass a raw
+    through the unmodified post-processing.  Callers that pass a raw
     ``visit`` callable (``reachable_discrete_states``) fall back to the
-    scalar engine transparently, as does any configuration sharding cannot
-    honour (non-bfs order, no inclusion checking, fewer than two workers, no
-    ``os.fork``).
+    in-process engine transparently, as does any configuration sharding
+    cannot honour (non-bfs order, no inclusion checking, fewer than two
+    workers, no ``os.fork``).
     """
 
     def __init__(
@@ -613,10 +381,6 @@ class ShardedExplorer(Explorer):
         #: metadata, deliberately not part of ExplorationStatistics)
         self.restarts = 0
         self._shard_query = None
-        # the ample-set proviso reads the passed list mid-expansion; under
-        # the level-synchronous protocol that read would see a stale shard-
-        # local prefix, so the reduction stays off (docs/performance.md)
-        self._por = False
 
     # ------------------------------------------------------------ entry points
     def _check_ef(self, query):
@@ -648,6 +412,10 @@ class ShardedExplorer(Explorer):
             or search.order != "bfs"
             or not search.inclusion_checking
             or not hasattr(os, "fork")
+            or self._scalar_oracle
+            # the ample-set proviso interleaves with the passed-list updates
+            # one state at a time: such networks run the in-process scalar loop
+            or self._has_ample_candidate()
         ):
             return None
         if self._shard_query is None:
@@ -1050,7 +818,7 @@ def select_explorer(
     """The right engine for *search*: sharded when it can honour the options.
 
     Sharding requires at least two workers, breadth-first order, inclusion
-    checking and ``os.fork``; anything else gets the scalar/block engine.
+    checking and ``os.fork``; anything else gets the in-process engine.
     (:class:`ShardedExplorer` additionally falls back per-call for entry
     points it cannot distribute, so selecting it is always safe.)
     """

@@ -2,8 +2,9 @@
 
 The paper discusses verification effort (state-space sizes, the event models
 for which exhaustive search becomes infeasible, the fall-back to depth-first
-"structured testing").  These counters are what the corresponding benchmark
-(``benchmarks/bench_exploration_effort.py``) reports.
+"structured testing").  These counters are what the benchmarks report:
+``benchmarks/bench_core_scaling.py`` records them per cell, and the repo
+benchmark (``perfbench/``) pins them as exact anchors.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class ExplorationStatistics:
     keys_folded: int = 0
     #: maximum length reached by the waiting list
     peak_waiting: int = 0
-    #: worker processes the sharded engine ran with (0 = scalar/block engine);
+    #: worker processes the sharded engine ran with (0 = in-process engine);
     #: the shard counters are topology observations, not exploration
     #: semantics, so they are excluded from equality comparisons -- a sharded
     #: run must compare equal to its scalar twin on everything else

@@ -861,30 +861,20 @@ class SuccessorGenerator:
         return stack
 
     def block_successors(
-        self,
-        states: Sequence[SymbolicState],
-        plan_indices: Sequence[int] | None = None,
-        rows: Sequence[int] | None = None,
+        self, states: Sequence[SymbolicState]
     ) -> tuple[_DiscreteInfo, list[BlockFire]]:
         """Fire every plan against a block of states sharing one discrete key.
 
         All *states* must have identical ``(locations, variables)`` -- the
-        caller pops them as one run from the waiting list -- so they share
+        round engine batches them by key -- so they share
         the memoised plan list, and each plan's clock work (guards, resets,
         target invariants, delay closure) runs as stacked whole-block numpy
         kernels instead of one zone at a time.  Per fired plan the result
         lists the surviving block positions and their delay-closed zones;
         extrapolation is deferred exactly like ``successors(...,
         extrapolate=False)`` (the engine extrapolates only the states it
-        keeps, via :meth:`extrapolate_stack`).
-
-        ``plan_indices`` restricts firing to the given plan positions and
-        ``rows`` to the given block positions; the returned ``node_indices``
-        always refer to positions in the full *states* block.  The
-        reachability engine uses both for the partial-order reduction: fire
-        only the ample plan for the whole block first, then re-expand the
-        remaining plans for exactly the rows whose ample successor was
-        already covered.
+        keeps, via :meth:`extrapolate_stack`).  ``node_indices`` refer to
+        positions in *states*.
 
         The per-layer results are bit-identical to firing the scalar
         pipeline on each state: every batched kernel matches its scalar
@@ -898,18 +888,9 @@ class SuccessorGenerator:
         fires: list[BlockFire] = []
         if not info.plans:
             return info, fires
-        if rows is None:
-            selected: Sequence[SymbolicState] = states
-            all_indices = np.arange(len(states), dtype=np.intp)
-        else:
-            all_indices = np.asarray(rows, dtype=np.intp)
-            selected = [states[r] for r in all_indices]
-        if not len(selected):
-            return info, fires
-        source = DBMStack.from_zones([s.zone for s in selected])
-        chosen = range(len(info.plans)) if plan_indices is None else plan_indices
-        for index in chosen:
-            plan = info.plans[index]
+        all_indices = np.arange(len(states), dtype=np.intp)
+        source = DBMStack.from_zones([s.zone for s in states])
+        for index, plan in enumerate(info.plans):
             # reject infeasible fires before paying for the stack copy (the
             # batched form of the scalar negative-cycle precheck)
             indices = all_indices

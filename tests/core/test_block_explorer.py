@@ -1,12 +1,13 @@
-"""Batched frontier exploration vs the scalar engine: exact equivalence.
+"""The level-synchronous round engine vs the scalar loop: exact equivalence.
 
-The breadth-first engine pops runs of waiting states that share a discrete
-key and pushes them through the stacked DBM kernels
-(`Explorer._expand_block`).  Everything observable -- verdicts, traces,
-state/transition/inclusion counts, budget behaviour -- must be identical to
-the scalar engine (``block_size=1``): the scaling benchmark enforces this
-against the seed baseline on the case study, these tests pin it on small
-networks where both engines run in milliseconds.
+Breadth-first search with inclusion checking expands windows of waiting
+states as rounds (``repro.core.level``): batched by discrete key, decided in
+vectorised passes, committed in tag order.  Everything observable --
+verdicts, traces, state/transition/inclusion counts, budget behaviour --
+must be identical to the scalar loop (the reference oracle, reached through
+``Explorer._scalar_oracle``): the scaling benchmark enforces this against the
+seed baseline on the case study, these tests pin it on small networks where
+both engines run in milliseconds.
 """
 
 import dataclasses
@@ -27,6 +28,14 @@ from repro.core import (
 from repro.util.errors import ModelError
 
 
+@pytest.fixture(autouse=True)
+def _rounds_on_small_frontiers(monkeypatch):
+    """These networks are small: run every frontier as a round, however narrow."""
+    from repro.core import reachability
+
+    monkeypatch.setattr(reachability, "_MIN_ROUND", 1)
+
+
 def _interleaved_network(workers=3, period=7, limit=4):
     """Several independent tickers: a frontier rich in shared discrete keys."""
     net = Network("interleaved")
@@ -44,7 +53,7 @@ def _interleaved_network(workers=3, period=7, limit=4):
 
 def _samekey_network(workers=6, period=7, limit=4):
     """Tickers with *equal* periods: the root expansion already produces a
-    run of ``workers`` same-key states, so the very first block is wide."""
+    run of ``workers`` same-key states, so the second round window is wide."""
     net = Network("samekey")
     net.add_variable("n", 0, 0, workers * limit + 1)
     for index in range(workers):
@@ -84,92 +93,92 @@ def _stat_tuple(stats, ignore=("elapsed_seconds",)):
     }
 
 
+def _scalar(compiled, **search_kwargs):
+    """An explorer pinned to the scalar loop (the round engine's oracle)."""
+    explorer = Explorer(compiled, search=SearchOptions(**search_kwargs))
+    explorer._scalar_oracle = True
+    return explorer
+
+
 def _explore_both(compiled, **search_kwargs):
-    blocked = Explorer(compiled, search=SearchOptions(**search_kwargs)).count_states()
-    scalar = Explorer(
-        compiled, search=SearchOptions(block_size=1, **search_kwargs)
-    ).count_states()
-    return blocked, scalar
+    rounds = Explorer(compiled, search=SearchOptions(**search_kwargs)).count_states()
+    scalar = _scalar(compiled, **search_kwargs).count_states()
+    return rounds, scalar
 
 
 class TestBlockedMatchesScalar:
     @pytest.mark.parametrize("network", [_interleaved_network, _branching_network])
     def test_full_exploration_statistics(self, network):
         compiled = network()
-        blocked, scalar = _explore_both(compiled)
-        assert _stat_tuple(blocked) == _stat_tuple(scalar)
-        assert blocked.states_explored > 0
+        rounds, scalar = _explore_both(compiled)
+        assert _stat_tuple(rounds) == _stat_tuple(scalar)
+        assert rounds.states_explored > 0
 
     def test_discrete_state_sets_are_equal(self):
         compiled = _interleaved_network()
-        blocked = Explorer(compiled).reachable_discrete_states()
-        scalar = Explorer(
-            compiled, search=SearchOptions(block_size=1)
-        ).reachable_discrete_states()
-        assert blocked == scalar
+        rounds = Explorer(compiled).reachable_discrete_states()
+        scalar = _scalar(compiled).reachable_discrete_states()
+        assert rounds == scalar
 
     @pytest.mark.parametrize("budget", [1, 5, 17, 100])
-    def test_state_budget_is_exact_under_blocking(self, budget):
+    def test_state_budget_is_exact_in_rounds(self, budget):
         compiled = _interleaved_network()
         stats = Explorer(
             compiled, search=SearchOptions(max_states=budget)
         ).count_states()
-        scalar = Explorer(
-            compiled, search=SearchOptions(max_states=budget, block_size=1)
-        ).count_states()
+        scalar = _scalar(compiled, max_states=budget).count_states()
         assert stats.states_explored <= budget
         assert _stat_tuple(stats) == _stat_tuple(scalar)
 
     def test_sup_queries_agree(self):
         compiled = _interleaved_network()
         query = Sup("w0.x")
-        blocked = Explorer(compiled).sup(query)
-        scalar = Explorer(compiled, search=SearchOptions(block_size=1)).sup(query)
-        assert (blocked.value, blocked.attained, blocked.is_lower_bound) == (
+        rounds = Explorer(compiled).sup(query)
+        scalar = _scalar(compiled).sup(query)
+        assert (rounds.value, rounds.attained, rounds.is_lower_bound) == (
             scalar.value, scalar.attained, scalar.is_lower_bound
         )
-        assert _stat_tuple(blocked.statistics) == _stat_tuple(scalar.statistics)
+        assert _stat_tuple(rounds.statistics) == _stat_tuple(scalar.statistics)
 
     def test_ef_goal_and_trace_agree(self):
         compiled = _interleaved_network()
         query = EF(DataProp.parse("n == 5"))
-        blocked = Explorer(compiled).check(query)
-        scalar = Explorer(compiled, search=SearchOptions(block_size=1)).check(query)
-        assert blocked.holds is True and scalar.holds is True
+        rounds = Explorer(compiled).check(query)
+        scalar = _scalar(compiled).check(query)
+        assert rounds.holds is True and scalar.holds is True
         # identical witness: same length, same discrete states along the way
-        assert len(blocked.trace) == len(scalar.trace)
-        assert [step.state.discrete_key() for step in blocked.trace.steps] == [
+        assert len(rounds.trace) == len(scalar.trace)
+        assert [step.state.discrete_key() for step in rounds.trace.steps] == [
             step.state.discrete_key() for step in scalar.trace.steps
         ]
-        assert _stat_tuple(blocked.statistics) == _stat_tuple(scalar.statistics)
+        assert _stat_tuple(rounds.statistics) == _stat_tuple(scalar.statistics)
 
     def test_ag_verdicts_agree(self):
         compiled = _branching_network()
         query = AG(DataProp.parse("steps <= 6"))
-        blocked = Explorer(compiled).check(query)
-        scalar = Explorer(compiled, search=SearchOptions(block_size=1)).check(query)
-        assert blocked.holds is True and scalar.holds is True
+        rounds = Explorer(compiled).check(query)
+        scalar = _scalar(compiled).check(query)
+        assert rounds.holds is True and scalar.holds is True
 
     def test_block_size_validation(self):
-        with pytest.raises(ModelError):
+        # deprecated and ignored, but an invalid value is still rejected
+        with pytest.warns(DeprecationWarning), pytest.raises(ModelError):
             SearchOptions(block_size=0)
 
-    def test_dfs_orders_are_untouched_by_block_size(self):
+    def test_dfs_orders_are_untouched_by_the_round_engine(self):
         compiled = _branching_network()
         for order in ("dfs", "rdfs"):
             big = Explorer(
                 compiled, search=SearchOptions(order=order, seed=3)
             ).count_states()
-            one = Explorer(
-                compiled, search=SearchOptions(order=order, seed=3, block_size=1)
-            ).count_states()
+            one = _scalar(compiled, order=order, seed=3).count_states()
             assert _stat_tuple(big) == _stat_tuple(one)
 
     def test_deferred_plan_error_raises_in_both_engines(self, monkeypatch):
-        """A range violation behind a live guard surfaces under blocking too.
+        """A range violation behind a live guard surfaces in rounds too.
 
         The error plan fires from a discrete state that several frontier
-        states share, so the blocked engine hits it inside a block replay --
+        states share, so the round engine hits it inside a batched expand --
         the deferred error must propagate exactly like the scalar path, and
         every pooled block buffer must be returned despite the raise.
         """
@@ -207,20 +216,20 @@ class TestBlockedMatchesScalar:
         monkeypatch.setattr(ZonePool, "release_block", counting_release)
         with pytest.raises(ModelError):
             Explorer(compiled).count_states()
-        assert balance["acquired"] > 0  # the blocked path actually ran
+        assert balance["acquired"] > 0  # the batched path actually ran
         assert balance["acquired"] == balance["released"]
         with pytest.raises(ModelError):
-            Explorer(compiled, search=SearchOptions(block_size=1)).count_states()
+            _scalar(compiled).count_states()
 
-    def test_deadline_overshoot_is_bounded_in_block_mode(self, monkeypatch):
-        """An expired deadline stops the replay inside a block, not after it.
+    def test_deadline_overshoot_is_bounded_in_round_mode(self, monkeypatch):
+        """An expired deadline cuts the commit walk inside a round.
 
         The fake clock advances one second per reading, so the deadline is
-        already past when the block engine starts replaying its first run of
-        6 same-key nodes.  The before-every-expansion re-check must stop the
-        replay after a single expansion and push the unexpanded tail back;
-        the pre-fix engine (deadline only re-checked between blocks) would
-        replay the whole run and overshoot to 7 explored states.
+        already past when the round engine commits its second round, a
+        window of 6 same-key nodes.  The before-every-parent re-check must
+        stop the walk after a single expansion and push the unexpanded tail
+        back; checking only between rounds would commit the whole window and
+        overshoot to 7 explored states.
         """
         import time as time_module
 
@@ -231,19 +240,19 @@ class TestBlockedMatchesScalar:
                             lambda: float(next(ticks)))
         stats = explorer.count_states()
         assert stats.termination == "time-budget"
-        # root + at most one expansion of the popped block
+        # root + at most one expansion of the popped window
         assert stats.states_explored <= 2
 
     def test_deadline_stop_matches_scalar_statistics_field_by_field(
         self, monkeypatch
     ):
-        """Stats parity at a time-budget stop (the block/scalar drift bug).
+        """Stats parity at a time-budget stop.
 
-        Stopping mid-block must leave *exactly* the statistics a scalar run
+        Stopping mid-round must leave *exactly* the statistics a scalar run
         stopped at the same expansion count reports -- including
-        ``peak_waiting``, whose block-side ``virtual_length`` accounting used
-        to keep measuring the overshot expansions.  Only the termination
-        reason may differ (time vs state budget).
+        ``peak_waiting``, which the walk accounts with the window's
+        unexpanded tail.  Only the termination reason may differ (time vs
+        state budget).
         """
         import time as time_module
 
@@ -252,26 +261,21 @@ class TestBlockedMatchesScalar:
         ticks = itertools.count(1)
         monkeypatch.setattr(time_module, "perf_counter",
                             lambda: float(next(ticks)))
-        blocked = explorer.count_states()
-        # a *mid-block* stop (root + 1 of the 6-node block): the pre-fix
-        # engine could only stop between blocks, so it never reached this
-        # state -- and overshot the deadline to 7 expansions instead
-        assert blocked.states_explored == 2
-        scalar = Explorer(
-            compiled,
-            search=SearchOptions(block_size=1,
-                                 max_states=blocked.states_explored),
-        ).count_states()
+        rounds = explorer.count_states()
+        # a *mid-round* stop (root + 1 of the 6-node window): a check only
+        # between rounds never reaches this state -- it overshoots the
+        # deadline to 7 expansions instead
+        assert rounds.states_explored == 2
+        scalar = _scalar(compiled, max_states=rounds.states_explored).count_states()
         assert scalar.termination == "state-budget"
         ignore = ("elapsed_seconds", "termination")
-        assert _stat_tuple(blocked, ignore) == _stat_tuple(scalar, ignore)
+        assert _stat_tuple(rounds, ignore) == _stat_tuple(scalar, ignore)
 
-    def test_tiny_block_cap_still_exact(self):
+    def test_tiny_round_window_still_exact(self, monkeypatch):
+        from repro.core import reachability
+
         compiled = _interleaved_network()
-        capped = Explorer(
-            compiled, search=SearchOptions(block_size=2)
-        ).count_states()
-        scalar = Explorer(
-            compiled, search=SearchOptions(block_size=1)
-        ).count_states()
+        monkeypatch.setattr(reachability, "_ROUND_WINDOW", 2)
+        capped = Explorer(compiled).count_states()
+        scalar = _scalar(compiled).count_states()
         assert _stat_tuple(capped) == _stat_tuple(scalar)

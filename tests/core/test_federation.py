@@ -209,9 +209,14 @@ class TestAddManyUncovered:
         assert [z.key() for z in batched] == [z.key() for z in sequential]
         batched.check_consistent()
 
-    def test_later_zone_evicts_earlier_batch_zone(self):
+    @pytest.mark.parametrize("budget", [None, 9])
+    def test_later_zone_evicts_earlier_batch_zone(self, monkeypatch, budget):
         # z1 ⊆ z3: sequential add_uncovered(z3) would evict z1; the batch
-        # must drop it before insertion
+        # must drop it before insertion (budget 9: one row per chunk)
+        import repro.core.federation as federation_module
+
+        if budget is not None:
+            monkeypatch.setattr(federation_module, "_COMPARE_BUDGET", budget)
         z1, z2, z3 = _box(3, [1, 1]), _box(3, [5, 1]), _box(3, [2, 2])
         batched = Federation(3)
         batched.add_many_uncovered([z1, z2, z3])

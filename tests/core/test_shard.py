@@ -1,9 +1,10 @@
-"""Sharded exploration vs the scalar engine: exact equivalence.
+"""Sharded exploration vs the in-process engine: exact equivalence.
 
 :class:`repro.core.shard.ShardedExplorer` partitions the passed/waiting
 stores across forked workers by discrete key, hands successors across
 shard boundaries, steals work from overloaded peers -- and must still be
-*observationally identical* to the scalar engine: every verdict, trace,
+*observationally identical* to the in-process engine (itself pinned to the
+scalar loop by ``test_block_explorer.py``): every verdict, trace,
 witness and :class:`ExplorationStatistics` counter (minus the shard-only
 counters and wall time) has to match bit for bit.  These tests pin that
 contract on small networks, including the corners where the machinery is

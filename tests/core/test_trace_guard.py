@@ -67,12 +67,15 @@ def test_recorded_traces_still_build(order):
     assert all(step.label is not None for step in trace.steps[1:])
 
 
-def test_block_path_nodes_also_guarded():
-    # block_size > 1 exercises the batched bfs expansion's node creation
+def test_round_engine_nodes_also_guarded(monkeypatch):
+    # bfs with inclusion checking runs the round engine's node creation
+    from repro.core import reachability
+
+    monkeypatch.setattr(reachability, "_MIN_ROUND", 1)
     compiled = _ticking_network().compile()
     explorer = Explorer(
         compiled,
-        search=SearchOptions(order="bfs", record_traces=False, block_size=128),
+        search=SearchOptions(order="bfs", record_traces=False),
     )
     nodes = []
     explorer.explore(lambda _state, node: bool(nodes.append(node)))
